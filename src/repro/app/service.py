@@ -771,7 +771,7 @@ class RecommendationService:
             k=request.k,
         ) as span:
             try:
-                response = self._stamped(self._resolve(request))
+                response = self._resolve(request)
             except UnknownUserError:
                 self.stats.record(self._clock() - started)
                 raise
@@ -845,7 +845,7 @@ class RecommendationService:
                 continue
             # Unknown users, and known users behind an open breaker.
             try:
-                response = self._stamped(self._resolve(request))
+                response = self._resolve(request)
             except UnknownUserError as exc:
                 self._note_error(exc)
                 response = self._stamped(ServedResponse(
@@ -865,7 +865,7 @@ class RecommendationService:
         for (k, _shard), entries in pending.items():
             indices = np.asarray([index for _, index in entries], dtype=np.int64)
             try:
-                batches = self._primary_batch(indices, k)
+                batches, version = self._primary_batch(indices, k)
             except Exception as exc:  # repro: allow[exceptions] — degrade, never fail
                 self.breaker.record_failure()
                 self._note_error(exc)
@@ -883,10 +883,11 @@ class RecommendationService:
                 continue
             self.breaker.record_success()
             for (position, _), items in zip(entries, batches):
-                response = self._stamped(ServedResponse(
+                response = ServedResponse(
                     books=tuple(self._serve_books(items, k)),
                     served_by=SERVED_BY_PRIMARY,
-                ))
+                    model_version=version,
+                )
                 self._account(response)
                 self._cache_put((requests[position].user_id, k), response, token)
                 results[position] = response
@@ -988,9 +989,11 @@ class RecommendationService:
     # ------------------------------------------------------------------
 
     def _resolve(self, request: RecommendationRequest) -> ServedResponse:
-        """Resolve one cache-missed request through the chain.
+        """Resolve one cache-missed request through the chain, stamped.
 
-        Raises :class:`UnknownUserError` only for an unknown user with no
+        A primary response carries the version of the model that scored
+        it; every other link is stamped by :meth:`_stamped`. Raises
+        :class:`UnknownUserError` only for an unknown user with no
         fallback link available and ``degrade_unknown_users`` unset.
         """
         k = request.k
@@ -1005,11 +1008,12 @@ class RecommendationService:
                 error = "deadline expired before primary scoring"
             elif self.breaker.allow():
                 try:
-                    items = self._primary_one(user_index, k, deadline)
+                    items, version = self._primary_one(user_index, k, deadline)
                     self.breaker.record_success()
                     return ServedResponse(
                         books=tuple(self._serve_books(items, k)),
                         served_by=SERVED_BY_PRIMARY,
+                        model_version=version,
                     )
                 except Exception as exc:  # repro: allow[exceptions] — degrade, never fail
                     self.breaker.record_failure()
@@ -1018,43 +1022,43 @@ class RecommendationService:
             else:
                 error = "circuit breaker open"
             items, source = self._fallback_items(user_index, k)
-            return ServedResponse(
+            return self._stamped(ServedResponse(
                 books=tuple(self._serve_books(items, k)),
                 served_by=source,
                 degraded=True,
                 error=error,
-            )
+            ))
         # Unknown user: cold-start link, then (optionally) static.
         if self.cold_start_fallback is not None:
             try:
                 items = self.cold_start_fallback.top_items(k)
-                return ServedResponse(
+                return self._stamped(ServedResponse(
                     books=tuple(self._serve_books(items, k)),
                     served_by=SERVED_BY_MOST_READ,
-                )
+                ))
             except Exception as exc:  # repro: allow[exceptions] — cold-start chain degrades
                 self._note_error(exc)
                 items, source = self._static_items(None, k)
-                return ServedResponse(
+                return self._stamped(ServedResponse(
                     books=tuple(self._serve_books(items, k)),
                     served_by=source,
                     degraded=True,
                     error=f"{type(exc).__name__}: {exc}",
-                )
+                ))
         if self.degrade_unknown_users:
             items, source = self._static_items(None, k)
-            return ServedResponse(
+            return self._stamped(ServedResponse(
                 books=tuple(self._serve_books(items, k)),
                 served_by=source,
                 degraded=True,
                 error=f"unknown user: {request.user_id!r}",
-            )
+            ))
         raise UnknownUserError(request.user_id)
 
     def _primary_one(
         self, user_index: int, k: int, deadline: Deadline | None
-    ) -> np.ndarray:
-        def call() -> np.ndarray:
+    ) -> tuple[np.ndarray, str | None]:
+        def call() -> tuple[np.ndarray, str | None]:
             return self._primary_one_items(user_index, k)
 
         if self.retry_policy is None:
@@ -1068,8 +1072,10 @@ class RecommendationService:
             deadline=deadline,
         )
 
-    def _primary_batch(self, indices: np.ndarray, k: int) -> list[np.ndarray]:
-        def call() -> list[np.ndarray]:
+    def _primary_batch(
+        self, indices: np.ndarray, k: int
+    ) -> tuple[list[np.ndarray], str | None]:
+        def call() -> tuple[list[np.ndarray], str | None]:
             return self._primary_batch_items(indices, k)
 
         if self.retry_policy is None:
@@ -1134,18 +1140,22 @@ class RecommendationService:
 
     def _serving_state(
         self,
-    ) -> tuple[Recommender, "IVFIndex | None", "UserShardStore | None"]:
-        """A consistent (model, index, shard store) triple for one scoring.
+    ) -> tuple[Recommender, "IVFIndex | None", "UserShardStore | None", str | None]:
+        """A consistent (model, index, shard store, version) for one scoring.
 
         Taken under the lock so a concurrent :meth:`refresh_model` can
-        never hand a scorer the old model with the new model's index.
+        never hand a scorer the old model with the new model's index, nor
+        stamp its response with the new model's version.
         """
         with self._lock:
-            return self.model, self._ivf, self.user_shards
+            return self.model, self._ivf, self.user_shards, self.model_version
 
-    def _primary_one_items(self, user_index: int, k: int) -> np.ndarray:
-        """Score one user through the active retrieval tier."""
-        model, index, shards = self._serving_state()
+    def _primary_one_items(
+        self, user_index: int, k: int
+    ) -> tuple[np.ndarray, str | None]:
+        """Score one user through the active retrieval tier; returns the
+        items and the version of the model that scored them."""
+        model, index, shards, version = self._serving_state()
         probe = self.probe_cells
         if index is not None and probe is not None and probe < index.n_cells:
             items = self._ivf_one(model, index, shards, user_index, k, probe)
@@ -1157,13 +1167,14 @@ class RecommendationService:
             items = model.recommend(user_index, k)
             tier = RETRIEVAL_EXACT
         self._m_retrieval.labels(tier=tier).inc()
-        return items
+        return items, version
 
     def _primary_batch_items(
         self, indices: np.ndarray, k: int
-    ) -> list[np.ndarray]:
-        """Score one coalesced ``(k, shard)`` group through the active tier."""
-        model, index, shards = self._serving_state()
+    ) -> tuple[list[np.ndarray], str | None]:
+        """Score one coalesced ``(k, shard)`` group through the active tier;
+        returns the lists and the version of the model that scored them."""
+        model, index, shards, version = self._serving_state()
         probe = self.probe_cells
         if index is not None and probe is not None and probe < index.n_cells:
             items = self._ivf_batch(model, index, shards, indices, k, probe)
@@ -1176,7 +1187,7 @@ class RecommendationService:
             tier = RETRIEVAL_EXACT
         self._m_retrieval.labels(tier=tier).inc(len(indices))
         self._m_retrieval_groups.labels(tier=tier).inc()
-        return items
+        return items, version
 
     def _user_query(
         self,
@@ -1316,7 +1327,7 @@ class RecommendationService:
             raise ConfigurationError(
                 f"sample_users must be >= 1, got {sample_users}"
             )
-        model, index, shards = self._serving_state()
+        model, index, shards, _ = self._serving_state()
         probe = self.probe_cells
         if index is None or probe is None or probe >= index.n_cells:
             self._m_retrieval_recall.set(1.0)
@@ -1374,16 +1385,17 @@ class RecommendationService:
         return np.asarray(self.train.user_items(user_index), dtype=np.int64)
 
     def _stamped(self, response: ServedResponse) -> ServedResponse:
-        """Attach the serving model's version provenance to a response.
+        """Attach the serving model's version to a response the primary
+        model did not score (fallback and cold-start links).
 
-        Read without the lock: during a concurrent hot swap a response
-        may carry the adjacent version's name, but always the name of a
-        *published* version — never a torn or invalid tag.
+        Read without the lock: such a response depends on no model
+        factors, so during a concurrent hot swap it may carry either
+        adjacent version's name — always a *published* one. Primary
+        responses carry the version captured with their model in
+        :meth:`_serving_state` instead.
         """
         version = self.model_version
-        if version is None or response.model_version == version:
-            return response
-        return replace(response, model_version=version)
+        return response if version is None else replace(response, model_version=version)
 
     def _note_error(self, error: BaseException | str) -> None:
         """Record a failure in both the stats and the metrics registry."""

@@ -267,7 +267,7 @@ class BPR(Recommender):
             _seed_from_model(self._warm_start, train, V, P)
 
         pos_users, pos_items = train.positive_pairs()
-        seen_keys = train.interaction_keys()
+        seen_bits = train.seen_bitset()
         self.history = []
 
         n_workers = resolve_n_jobs(cfg.workers)
@@ -284,11 +284,11 @@ class BPR(Recommender):
             shared_P[:] = P
             V, P = shared_V, shared_P
             pool = hogwild_pool(
-                V, P, pos_users, pos_items, seen_keys, n_items, cfg, n_workers
+                V, P, pos_users, pos_items, seen_bits, n_items, cfg, n_workers
             )
         try:
             self._run_epochs(
-                V, P, pos_users, pos_items, seen_keys, n_items, rng, pool,
+                V, P, pos_users, pos_items, seen_bits, n_items, rng, pool,
                 n_workers,
             )
         finally:
@@ -305,7 +305,7 @@ class BPR(Recommender):
         P: np.ndarray,
         pos_users: np.ndarray,
         pos_items: np.ndarray,
-        seen_keys: np.ndarray,
+        seen_bits: np.ndarray,
         n_items: int,
         rng: np.random.Generator,
         pool,
@@ -349,7 +349,7 @@ class BPR(Recommender):
                             )
                             stats = batch_kernel(
                                 V, P, pos_users[batch], pos_items[batch],
-                                seen_keys, n_items, rng, cfg,
+                                seen_bits, n_items, rng, cfg,
                             )
                             if batch_histogram is not None:
                                 batch_histogram.observe(

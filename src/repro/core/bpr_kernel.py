@@ -22,6 +22,14 @@ full table lives in ``docs/determinism.md``):
   updates race benignly, so the contract relaxes to
   *converges-to-the-same-KPIs* rather than bit-identical.
 
+Every tier rejects already-read negatives against one packed
+``(user, item)`` bitset that :class:`~repro.core.bpr.BPR` builds once
+per fit (:meth:`~repro.core.interactions.InteractionMatrix.seen_bitset`,
+``n_users * n_items / 8`` bytes). A membership test is a byte gather
+and a shift, so WARP's several draws per positive cost the same
+whatever the size of the reading history; the hogwild workers inherit
+the bitset with the rest of the shared payload.
+
 The shared matrices are anonymous ``mmap`` buffers: under the ``fork``
 start method (the :class:`~repro.parallel.WorkerPool` process backend's
 preference) children inherit the mapping itself, so every worker writes
@@ -38,6 +46,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.interactions import bitset_contains
 from repro.parallel.pool import WorkerPool, chunk_slices, shared_payload, task_seeds
 from repro.rng import derive_rng
 
@@ -61,38 +70,33 @@ RESAMPLE_ROUNDS = 4
 
 def sample_unseen(
     users: np.ndarray,
-    seen_keys: np.ndarray,
+    seen_bits: np.ndarray,
     n_items: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw one candidate negative per user, rejecting read books.
 
-    Membership tests run against the sorted ``user * n_items + item``
-    key array via ``np.searchsorted``. Two pinned edge behaviours
-    (``tests/core/test_bpr_kernel.py``):
-
-    - a key larger than every entry makes ``searchsorted`` land at
-      ``len(seen_keys)``; the position is clamped to the last entry,
-      whose key cannot match, so the candidate is correctly kept;
-    - a user who has read all but one item may exhaust the
-      :data:`RESAMPLE_ROUNDS` redraw rounds without hitting the single
-      unseen item. Survivor collisions keep their last draw: the pair
-      trains "positive vs itself", whose gradient contribution on the
-      shared item factor cancels to the regularisation pull alone — a
-      rare, unbiased, near-no-op update rather than a bias towards any
-      particular negative.
+    Membership tests run against the packed ``(user, item)`` bitset of
+    :meth:`~repro.core.interactions.InteractionMatrix.seen_bitset`: one
+    gather and a shift per candidate, whatever the number of readings.
+    A user who has read all but one item may exhaust the
+    :data:`RESAMPLE_ROUNDS` redraw rounds without hitting the single
+    unseen item (pinned in ``tests/core/test_bpr_kernel.py``). Survivor
+    collisions keep their last draw: the pair trains "positive vs
+    itself", whose gradient contribution on the shared item factor
+    cancels to the regularisation pull alone — a rare, unbiased,
+    near-no-op update rather than a bias towards any particular negative.
 
     The RNG call sequence is exactly the historical trainer's (one
     full-width draw plus one redraw per round over the colliding
-    subset), which keeps the reference kernel bit-identical to the
-    pre-refactor implementation.
+    subset). The membership structure draws nothing from the stream, so
+    the reference kernel stays bit-identical to the historical trainer's
+    sorted-key sampler.
     """
     candidates = rng.integers(0, n_items, size=len(users), dtype=np.int64)
+    base = users * np.int64(n_items)
     for _ in range(RESAMPLE_ROUNDS):
-        keys = users * np.int64(n_items) + candidates
-        positions = np.searchsorted(seen_keys, keys)
-        positions = np.minimum(positions, len(seen_keys) - 1)
-        seen = seen_keys[positions] == keys
+        seen = bitset_contains(seen_bits, base + candidates)
         if not seen.any():
             break
         candidates[seen] = rng.integers(
@@ -104,7 +108,7 @@ def sample_unseen(
 # repro: tier[float32]
 def predraw_candidates(
     users: np.ndarray,
-    seen_keys: np.ndarray,
+    seen_bits: np.ndarray,
     n_items: int,
     max_trials: int,
     rng: np.random.Generator,
@@ -125,14 +129,9 @@ def predraw_candidates(
     total = shape[0] * max_trials
     candidates = rng.integers(0, n_items, size=total, dtype=np.int64)
     base = np.repeat(users * np.int64(n_items), max_trials)
-    clamp = max(len(seen_keys) - 1, 0)
     # One full-matrix membership test, then redraw rounds that touch
-    # only the (vanishing) colliding subset — the full searchsorted is
-    # the expensive step, and repeating it per round would cost more
-    # than the whole scoring einsum.
-    keys = base + candidates
-    positions = np.minimum(np.searchsorted(seen_keys, keys), clamp)
-    colliding = np.flatnonzero(seen_keys[positions] == keys)
+    # only the (vanishing) colliding subset.
+    colliding = np.flatnonzero(bitset_contains(seen_bits, base + candidates))
     for _ in range(RESAMPLE_ROUNDS):
         if colliding.size == 0:
             break
@@ -140,8 +139,7 @@ def predraw_candidates(
             0, n_items, size=colliding.size, dtype=np.int64
         )
         keys = base[colliding] + candidates[colliding]
-        positions = np.minimum(np.searchsorted(seen_keys, keys), clamp)
-        colliding = colliding[seen_keys[positions] == keys]
+        colliding = colliding[bitset_contains(seen_bits, keys)]
     valid = np.ones(total, dtype=bool)
     valid[colliding] = False
     return candidates.reshape(shape), valid.reshape(shape)
@@ -253,7 +251,7 @@ def train_batch_reference(
     P: np.ndarray,
     users: np.ndarray,
     items: np.ndarray,
-    seen_keys: np.ndarray,
+    seen_bits: np.ndarray,
     n_items: int,
     rng: np.random.Generator,
     config: "BPRConfig",
@@ -274,7 +272,7 @@ def train_batch_reference(
     pos_scores = np.einsum("ij,ij->i", Vu, P[items])
 
     if config.sampler == "uniform":
-        negatives = sample_unseen(users, seen_keys, n_items, rng)
+        negatives = sample_unseen(users, seen_bits, n_items, rng)
         neg_scores = np.einsum("ij,ij->i", Vu, P[negatives])
         # sigma(-x), the Eq. 3 gradient, via the overflow-safe split.
         weight = stable_neg_sigmoid(pos_scores - neg_scores)
@@ -289,7 +287,7 @@ def train_batch_reference(
         active = np.flatnonzero(unresolved)
         if active.size == 0:
             break
-        candidates = sample_unseen(users[active], seen_keys, n_items, rng)
+        candidates = sample_unseen(users[active], seen_bits, n_items, rng)
         cand_scores = np.einsum("ij,ij->i", Vu[active], P[candidates])
         violating = cand_scores > pos_scores[active] - config.margin
         hit = active[violating]
@@ -317,7 +315,7 @@ def train_batch_fast(
     P: np.ndarray,
     users: np.ndarray,
     items: np.ndarray,
-    seen_keys: np.ndarray,
+    seen_bits: np.ndarray,
     n_items: int,
     rng: np.random.Generator,
     config: "BPRConfig",
@@ -338,7 +336,7 @@ def train_batch_fast(
     pos_scores = np.einsum("ij,ij->i", Vu, P[items])
 
     if config.sampler == "uniform":
-        negatives = sample_unseen(users, seen_keys, n_items, rng)
+        negatives = sample_unseen(users, seen_bits, n_items, rng)
         neg_scores = np.einsum("ij,ij->i", Vu, P[negatives])
         weight = stable_neg_sigmoid(pos_scores - neg_scores)
         _apply_updates_fast(V, P, users, items, negatives, weight, config)
@@ -361,7 +359,7 @@ def train_batch_fast(
     while drawn < config.max_trials and unresolved.size:
         width = min(width, config.max_trials - drawn)
         block, valid = predraw_candidates(
-            users[unresolved], seen_keys, n_items, width, rng
+            users[unresolved], seen_bits, n_items, width, rng
         )
         block_scores = np.einsum("bf,btf->bt", Vu[unresolved], P[block])
         violating = valid & (block_scores > thresholds[unresolved, None])
@@ -426,7 +424,7 @@ def hogwild_pool(
     P: np.ndarray,
     pos_users: np.ndarray,
     pos_items: np.ndarray,
-    seen_keys: np.ndarray,
+    seen_bits: np.ndarray,
     n_items: int,
     config: "BPRConfig",
     n_workers: int,
@@ -434,14 +432,14 @@ def hogwild_pool(
     """A process pool whose workers share the factor matrices.
 
     Everything epoch-invariant — the shared (mmap-backed) factors, the
-    positive pairs, the seen-key index — travels once through the pool's
+    positive pairs, the seen-item bitset — travels once through the pool's
     ``shared`` channel; per-epoch tasks then carry only their shard's
     pair indices and seed.
     """
     return WorkerPool(
         n_jobs=n_workers,
         backend="process",
-        shared=(V, P, pos_users, pos_items, seen_keys, n_items, config),
+        shared=(V, P, pos_users, pos_items, seen_bits, n_items, config),
     )
 
 
@@ -452,14 +450,14 @@ def _hogwild_shard(indices: np.ndarray, seed: int) -> tuple[float, int]:
     straight into the inherited shared matrices without locks. Returns
     ``(sum of trials, updated pairs)`` for the parent's epoch stats.
     """
-    V, P, pos_users, pos_items, seen_keys, n_items, config = shared_payload()
+    V, P, pos_users, pos_items, seen_bits, n_items, config = shared_payload()
     rng = derive_rng(seed, "bpr", "hogwild.shard")
     trial_total, updated_total = 0.0, 0
     for start in range(0, len(indices), config.batch_size):
         batch = indices[start:start + config.batch_size]
         trials, updated = train_batch_fast(
             V, P, pos_users[batch], pos_items[batch],
-            seen_keys, n_items, rng, config,
+            seen_bits, n_items, rng, config,
         )
         trial_total += trials
         updated_total += updated

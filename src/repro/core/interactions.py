@@ -107,6 +107,11 @@ class Indexer:
         return positions.astype(np.int64, copy=False)
 
 
+def bitset_contains(bits: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Boolean membership of ``keys`` in an :meth:`InteractionMatrix.seen_bitset`."""
+    return ((bits[keys >> 3] >> (keys & 7)) & 1).astype(bool)
+
+
 class InteractionMatrix:
     """A users × items sparse matrix of reading counts."""
 
@@ -242,14 +247,20 @@ class InteractionMatrix:
         coo = self.csr.tocoo()
         return coo.row.astype(np.int64), coo.col.astype(np.int64)
 
-    def interaction_keys(self) -> np.ndarray:
-        """Sorted ``user * n_items + item`` keys for O(log n) membership tests.
+    def seen_bitset(self) -> np.ndarray:
+        """A packed bitset of the read ``(user, item)`` cells.
 
-        Used by the BPR negative sampler to reject sampled "negatives" the
-        user has actually read.
+        Bit ``key = user * n_items + item`` lives at byte ``key >> 3``,
+        bit ``key & 7`` (``n_users * n_items / 8`` bytes, rounded up), so
+        :func:`bitset_contains` answers a membership test with one gather
+        and a shift. Used by the BPR negative sampler to reject sampled
+        "negatives" the user has actually read.
         """
         rows, cols = self.positive_pairs()
-        return np.sort(rows * np.int64(self.n_items) + cols)
+        keys = rows * np.int64(self.n_items) + cols
+        bits = np.zeros(-(-self.n_users * self.n_items // 8), dtype=np.uint8)
+        np.bitwise_or.at(bits, keys >> 3, np.left_shift(1, keys & 7).astype(np.uint8))
+        return bits
 
     def restrict_users(self, user_indices: np.ndarray) -> "InteractionMatrix":
         """A matrix over a subset of users (item indexing unchanged)."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from repro.core.interactions import Indexer, InteractionMatrix
 from repro.datasets.merged import MergedDataset
@@ -85,89 +86,117 @@ class DatasetSplit:
 def split_readings(
     merged: MergedDataset, config: SplitConfig | None = None
 ) -> DatasetSplit:
-    """Split a merged dataset per the paper's protocol (module docstring)."""
+    """Split a merged dataset per the paper's protocol (module docstring).
+
+    Array operations throughout: one sort de-duplicates the readings to
+    distinct ``(user, book)`` pairs with their first date and event
+    multiplicity (re-borrows), a second orders each user's books by
+    ``(first date, book)``, and the per-user cut sizes come from
+    :func:`_cut_sizes`. The split is decided on distinct books;
+    multiplicity flows into the training matrix so popularity reflects
+    loan events, as in the raw Loans table. ``order="random"`` shuffles
+    each user's time-ordered books with one ``rng.permutation`` per user,
+    users taken in order of their first reading.
+    """
     config = config or SplitConfig()
     users = Indexer(merged.user_ids)
     items = Indexer(int(b) for b in merged.books["book_id"])
-    bct_users = set(merged.bct_user_ids)
+    readings = merged.readings
+    n_users, n_items = len(users), len(items)
+    user_of_reading = users.indices_of(readings["user_id"].tolist())
+    item_of_reading = items.indices_of(readings["book_id"].tolist())
+    dates = readings["read_date"]
 
-    # Distinct books per user with first-read date and event multiplicity
-    # (re-borrows), in reading order. The split is decided on distinct
-    # books; multiplicity flows into the training matrix so popularity
-    # reflects loan events, as in the raw Loans table.
-    first_date: dict[tuple[int, int], np.datetime64] = {}
-    event_count: dict[tuple[int, int], int] = {}
-    for user_id, book_id, read_date in zip(
-        merged.readings["user_id"],
-        merged.readings["book_id"],
-        merged.readings["read_date"],
-    ):
-        key = (users.index_of(str(user_id)), items.index_of(int(book_id)))
-        event_count[key] = event_count.get(key, 0) + 1
-        if key not in first_date or read_date < first_date[key]:
-            first_date[key] = read_date
+    # Distinct (user, book) pairs in key order, each with its first date
+    # and its number of readings.
+    keys = user_of_reading * np.int64(n_items) + item_of_reading
+    by_key = np.lexsort((dates, keys))
+    sorted_keys = keys[by_key]
+    starts = np.flatnonzero(np.diff(sorted_keys, prepend=-1))
+    pair_users, pair_items = np.divmod(sorted_keys[starts], np.int64(n_items))
+    pair_dates = dates[by_key[starts]]
+    multiplicity = np.diff(np.append(starts, len(keys)))
 
-    per_user: dict[int, list[tuple[np.datetime64, int]]] = {}
-    for (user_index, item_index), date in first_date.items():
-        per_user.setdefault(user_index, []).append((date, item_index))
+    # Each user's books in reading order: a contiguous run of `ranked`.
+    ranked = np.lexsort((pair_items, pair_dates, pair_users))
+    per_user = np.bincount(pair_users, minlength=n_users)
+    offsets = np.concatenate(([0], np.cumsum(per_user)))
+    user_order = _first_seen(user_of_reading)
+    if config.order == "random":
+        rng = derive_rng(config.seed, "split")
+        for user_index in user_order:
+            run = ranked[offsets[user_index]:offsets[user_index + 1]]
+            run[:] = run[rng.permutation(len(run))]
 
-    rng = derive_rng(config.seed, "split") if config.order == "random" else None
-    train_pairs: list[tuple[str, int]] = []
-    val_items: dict[int, np.ndarray] = {}
-    test_items: dict[int, np.ndarray] = {}
-    for user_index, dated in per_user.items():
-        ordered = [item for _, item in sorted(dated, key=lambda p: (p[0], p[1]))]
-        if rng is not None:
-            ordered = [ordered[i] for i in rng.permutation(len(ordered))]
-        is_bct = users.id_of(user_index) in bct_users
-        train_part, val_part, test_part = _cut(
-            ordered, config.test_fraction if is_bct else 0.0, config.val_fraction
-        )
-        user_id = str(users.id_of(user_index))
-        for item_index in train_part:
-            multiplicity = event_count[(user_index, item_index)]
-            train_pairs.extend(
-                [(user_id, items.id_of(item_index))] * multiplicity
-            )
-        if val_part:
-            val_items[user_index] = np.asarray(sorted(val_part), dtype=np.int64)
-        if test_part:
-            test_items[user_index] = np.asarray(sorted(test_part), dtype=np.int64)
+    bct_indices = np.sort(users.indices_of(list(merged.bct_user_ids)))
+    test_fraction = np.zeros(n_users)
+    test_fraction[bct_indices] = config.test_fraction
+    n_train, n_val = _cut_sizes(per_user, test_fraction, config.val_fraction)
+    rank = np.empty(len(ranked), dtype=np.int64)
+    rank[ranked] = np.arange(len(ranked)) - offsets[pair_users[ranked]]
+    rank -= n_train[pair_users]
+    in_train = rank < 0
+    in_val = (rank >= 0) & (rank < n_val[pair_users])
 
-    train = InteractionMatrix.from_pairs(train_pairs, users=users, items=items)
-    bct_indices = np.asarray(
-        sorted(users.index_of(u) for u in bct_users), dtype=np.int64
+    train_csr = sparse.csr_matrix(
+        (
+            multiplicity[in_train].astype(np.float64),
+            pair_items[in_train],
+            np.concatenate(
+                ([0], np.cumsum(np.bincount(pair_users[in_train], minlength=n_users)))
+            ),
+        ),
+        shape=(n_users, n_items),
     )
     return DatasetSplit(
-        train=train,
-        val_items=val_items,
-        test_items=test_items,
+        train=InteractionMatrix(users, items, train_csr),
+        val_items=_runs_by_user(pair_users[in_val], pair_items[in_val], user_order),
+        test_items=_runs_by_user(
+            pair_users[~in_train & ~in_val], pair_items[~in_train & ~in_val], user_order
+        ),
         bct_user_indices=bct_indices,
     )
 
 
-def _cut(
-    ordered: list[int], test_fraction: float, val_fraction: float
-) -> tuple[list[int], list[int], list[int]]:
-    """Split an ordered reading list into train / val / test tails.
+def _runs_by_user(
+    users: np.ndarray, items: np.ndarray, user_order: np.ndarray
+) -> dict[int, np.ndarray]:
+    """``user -> items`` from (user, item)-sorted pairs, users with no pair
+    dropped, keys inserted in ``user_order``."""
+    lows = np.searchsorted(users, user_order, side="left").tolist()
+    highs = np.searchsorted(users, user_order, side="right").tolist()
+    return {
+        user: items[low:high]
+        for user, low, high in zip(user_order.tolist(), lows, highs)
+        if high > low
+    }
+
+
+def _first_seen(user_of_reading: np.ndarray) -> np.ndarray:
+    """Distinct user indices in order of their first reading."""
+    _, first = np.unique(user_of_reading, return_index=True)
+    return user_of_reading[np.sort(first)]
+
+
+def _cut_sizes(
+    n: np.ndarray, test_fraction: np.ndarray, val_fraction: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Train and validation sizes of ordered reading lists of lengths ``n``;
+    the rest of each list is its test part.
 
     The most recent ``test_fraction`` goes to test, then the most recent
     ``val_fraction`` of the remainder to validation. Every split keeps at
     least one training item; holdouts get at least one item only when the
     list is long enough to afford it.
     """
-    n = len(ordered)
-    n_test = int(n * test_fraction)
-    if test_fraction > 0 and n_test == 0 and n >= 3:
-        n_test = 1
+    n_test = (n * test_fraction).astype(np.int64)
+    n_test[(test_fraction > 0) & (n_test == 0) & (n >= 3)] = 1
     remaining = n - n_test
-    n_val = int(remaining * val_fraction)
-    if val_fraction > 0 and n_val == 0 and remaining >= 3:
-        n_val = 1
+    n_val = (remaining * val_fraction).astype(np.int64)
+    if val_fraction > 0:
+        n_val[(n_val == 0) & (remaining >= 3)] = 1
     n_train = n - n_test - n_val
-    if n_train < 1:
-        n_train, n_val = 1, max(0, remaining - 1)
-    train = ordered[:n_train]
-    val = ordered[n_train:n_train + n_val]
-    test = ordered[n_train + n_val:]
-    return train, val, test
+    short = n_train < 1
+    n_train[short] = 1
+    n_val[short] = np.maximum(0, remaining[short] - 1)
+    return n_train, n_val

@@ -326,9 +326,9 @@ class TestCacheSwapRace:
         request = RecommendationRequest(user_id=user_id, k=5)
 
         first = service.recommend_response(request)
-        # The swap happened mid-request: the response is stamped with the
-        # *published* version, and the stale list was NOT cached.
-        assert first.model_version == "v2"
+        # The swap happened mid-request: the response keeps the version
+        # that scored it, and the stale list was NOT cached.
+        assert first.model_version == "v1"
         assert not first.from_cache
         assert service.cached_entries == 0
 
@@ -343,3 +343,68 @@ class TestCacheSwapRace:
         assert [b.book_id for b in third.books] == [
             b.book_id for b in second.books
         ]
+
+
+class SwapAfterBatch:
+    """Wraps a model so one batch scoring call hot-swaps the service right
+    after the scores are computed and before the responses are stamped
+    (the single-request case is :class:`SwapDuringScore`)."""
+
+    def __init__(self, model, service_ref, replacement, version):
+        self._model = model
+        self._service_ref = service_ref
+        self._replacement = replacement
+        self._version = version
+        self.fired = False
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def recommend_batch(self, user_indices, k):
+        lists = self._model.recommend_batch(user_indices, k)
+        if not self.fired:
+            self.fired = True
+            self._service_ref[0].refresh_model(
+                self._replacement, model_version=self._version
+            )
+        return lists
+
+
+class TestStampIsTheScoringVersion:
+    """A response is stamped with the version of the model that scored
+    it, even when a hot swap lands between scoring and stamping."""
+
+    def test_batch(self, tiny_bpr, tiny_split, tiny_merged, user_ids):
+        replacement = BPR(TINY_BPR).fit(tiny_split.train, tiny_merged)
+        service_ref = []
+        racer = SwapAfterBatch(tiny_bpr, service_ref, replacement, "B")
+        service = RecommendationService(
+            racer, tiny_split.train, tiny_merged, cache_size=0,
+            model_version="A",
+        )
+        service_ref.append(service)
+        responses = service.recommend_many_responses(
+            [RecommendationRequest(user_id=uid, k=K) for uid in user_ids[:8]]
+        )
+        assert racer.fired and service.model_version == "B"
+        assert [r.model_version for r in responses] == ["A"] * 8
+        expected = tiny_bpr.recommend_batch(np.arange(8), K)
+        for response, items in zip(responses, expected):
+            assert [b.book_id for b in response.books] == [
+                int(tiny_split.train.items.id_of(int(i))) for i in items
+            ]
+
+    def test_fallback_takes_the_current_version(
+        self, tiny_bpr, tiny_split, tiny_merged
+    ):
+        """A response no model scored (cold start) is stamped with the
+        version current when it resolved."""
+        service = RecommendationService(
+            tiny_bpr, tiny_split.train, tiny_merged, model_version="A",
+            cold_start_fallback=MostReadItems().fit(tiny_split.train),
+        )
+        service.refresh_model(tiny_bpr, model_version="B")
+        response = service.recommend_response(
+            RecommendationRequest(user_id="no-such-reader", k=K)
+        )
+        assert response.model_version == "B"

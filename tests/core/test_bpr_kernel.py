@@ -6,11 +6,15 @@ below is a verbatim copy of the historical ``BPR._fit`` inner loop
 (including the original overflow-prone sigmoid), and the reference
 kernel must reproduce its factors exactly for the WARP sampler and to
 within float ulps for the uniform sampler (whose sigmoid was
-intentionally replaced by the overflow-safe form).
+intentionally replaced by the overflow-safe form). The frozen trainer
+keeps its own sorted-key ``searchsorted`` sampler, so the bit-equality
+also checks the packed seen-item bitset against an independent
+membership test.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.bpr import BPR, BPRConfig
 from repro.core.bpr_kernel import (
@@ -22,11 +26,13 @@ from repro.core.bpr_kernel import (
     shared_empty,
     stable_neg_sigmoid,
 )
-from repro.core.interactions import InteractionMatrix
+from repro.core.interactions import InteractionMatrix, bitset_contains
 from repro.errors import ConfigurationError
 from repro.rng import derive_rng, make_rng
 
 from tests.core.test_bpr import block_world
+from tests.core.test_interactions import matrix_of, read_matrices
+from tests.oracles import interaction_keys, searchsorted_contains
 
 
 class _FrozenTrainer:
@@ -49,7 +55,7 @@ class _FrozenTrainer:
         V = rng.normal(0.0, scale, size=(n_users, cfg.n_factors))
         P = rng.normal(0.0, scale, size=(n_items, cfg.n_factors))
         pos_users, pos_items = train.positive_pairs()
-        seen_keys = train.interaction_keys()
+        seen_keys = interaction_keys(train)
         for _ in range(cfg.epochs):
             order = rng.permutation(len(pos_users))
             for start in range(0, len(order), cfg.batch_size):
@@ -160,6 +166,71 @@ class TestReferenceBitIdentity:
         assert BPRConfig().kernel == "reference"
 
 
+class TestPinnedFactors:
+    """Fitted factors for fixed seeds equal the values the sorted-key
+    sampler produced before the seen-item bitset replaced it.
+
+    The fingerprints (sum and absolute sum of each factor matrix) were
+    recorded from that earlier trainer. Any change in a membership
+    answer redirects the RNG stream and moves them at the 1e-2 level;
+    the tolerances only absorb last-digit differences in BLAS/einsum
+    summation order across CPUs.
+    """
+
+    @pytest.mark.parametrize(
+        "world, config, expected, rtol",
+        [
+            (
+                {}, BPRConfig(epochs=4, seed=11),
+                [1.8526880353765784, 208.6124734705918,
+                 -2.514059658014622, 161.58801083705666],
+                1e-9,
+            ),
+            (
+                {}, BPRConfig(epochs=4, seed=11, sampler="uniform"),
+                [-2.372993160097562, 155.64604023430223,
+                 -2.5116949688003, 115.0307197998867],
+                1e-9,
+            ),
+            (
+                {}, BPRConfig(epochs=4, seed=5, kernel="fast"),
+                [-3.7880912008695304, 202.72156319534406,
+                 -9.983356672804803, 159.85835500946268],
+                1e-5,
+            ),
+            (
+                {}, BPRConfig(epochs=4, seed=5, kernel="fast", sampler="uniform"),
+                [-2.169881211128086, 156.02883067680523,
+                 -9.982206185348332, 113.36574017070234],
+                1e-5,
+            ),
+            (
+                # 41 x 31 = 1271 cells: the bitset's last byte is partial.
+                {"n_users": 41, "n_items": 31, "seed": 4},
+                BPRConfig(epochs=4, seed=11),
+                [-9.154090682089288, 203.43340175194993,
+                 -0.5419148130999645, 162.50315715447076],
+                1e-9,
+            ),
+            (
+                {"n_users": 41, "n_items": 31, "seed": 4},
+                BPRConfig(epochs=4, seed=5, kernel="fast"),
+                [3.378208170644939, 205.36749508138746,
+                 -9.463917448651046, 167.08552319323644],
+                1e-5,
+            ),
+        ],
+    )
+    def test_factors_match_the_sorted_key_trainer(
+        self, world, config, expected, rtol
+    ):
+        model = BPR(config).fit(block_world(**world))
+        V = model.user_factors.astype(np.float64)
+        P = model.item_factors.astype(np.float64)
+        fingerprint = [V.sum(), np.abs(V).sum(), P.sum(), np.abs(P).sum()]
+        np.testing.assert_allclose(fingerprint, expected, rtol=rtol)
+
+
 class TestStableSigmoid:
     def test_no_overflow_for_large_inputs(self):
         # The naive 1 / (1 + exp(x)) overflows (an error under the
@@ -208,18 +279,17 @@ class TestScatterAdd:
 
 
 class TestSampleUnseen:
-    def test_searchsorted_past_the_end_is_clamped(self):
-        """A candidate key larger than every seen key lands searchsorted
-        at ``len(seen_keys)``; the clamp must keep the candidate instead
-        of raising or comparing out of bounds."""
-        # Only user 0 has interactions, so user 9's keys all exceed the max.
+    def test_keys_past_the_last_read_cell_are_kept(self):
+        """The last user's keys lie beyond every read cell but item 2, up
+        to the bitset's final byte; unseen draws there must be kept
+        verbatim, without reading out of bounds."""
         train = InteractionMatrix.from_pairs(
             [("u0", 0), ("u0", 1)] + [(f"u{u}", 2) for u in range(1, 10)]
         )
-        seen_keys = train.interaction_keys()
+        seen_bits = train.seen_bitset()
         users = np.full(64, train.n_users - 1, dtype=np.int64)
         rng = make_rng(7)
-        candidates = sample_unseen(users, seen_keys, train.n_items, rng)
+        candidates = sample_unseen(users, seen_bits, train.n_items, rng)
         # Bit-reproduce the draw: nothing that user reads beyond item 2,
         # so the first draw must be kept verbatim wherever it is unseen.
         expected = make_rng(7).integers(
@@ -238,10 +308,10 @@ class TestSampleUnseen:
         pairs = [("u0", i) for i in range(n_items) if i != unseen_item]
         pairs += [("u1", unseen_item)]  # so the item exists in the matrix
         train = InteractionMatrix.from_pairs(pairs)
-        seen_keys = train.interaction_keys()
+        seen_bits = train.seen_bitset()
         users = np.zeros(256, dtype=np.int64)
         candidates = sample_unseen(
-            users, seen_keys, train.n_items, make_rng(3)
+            users, seen_bits, train.n_items, make_rng(3)
         )
         assert np.all((candidates >= 0) & (candidates < train.n_items))
         assert (candidates == unseen_item).any()
@@ -252,10 +322,10 @@ class TestSampleUnseen:
         the regularisation pull) rather than a loop or an error."""
         # One user, two items, both read: every draw collides forever.
         train = InteractionMatrix.from_pairs([("u0", 0), ("u0", 1)])
-        seen_keys = train.interaction_keys()
+        seen_bits = train.seen_bitset()
         users = np.zeros(32, dtype=np.int64)
         rng = make_rng(1)
-        candidates = sample_unseen(users, seen_keys, train.n_items, rng)
+        candidates = sample_unseen(users, seen_bits, train.n_items, rng)
         # Reproduce the RNG stream: initial draw + RESAMPLE_ROUNDS full
         # redraws (every candidate collides every round).
         mirror = make_rng(1)
@@ -265,13 +335,37 @@ class TestSampleUnseen:
         assert np.array_equal(candidates, expected)
 
 
+    @settings(deadline=None, max_examples=100)
+    @given(read_matrices(), st.integers(0, 2**16))
+    def test_matches_the_sorted_key_sampler(self, dense, seed):
+        """Same candidates and same RNG position as the searchsorted
+        sampler, on generated matrices with the membership edges."""
+        matrix = matrix_of(dense)
+        seen_keys = interaction_keys(matrix)
+        n_items = matrix.n_items
+        users = np.repeat(np.arange(matrix.n_users, dtype=np.int64), 4)
+        rng = make_rng(seed)
+        candidates = sample_unseen(users, matrix.seen_bitset(), n_items, rng)
+        mirror = make_rng(seed)
+        expected = mirror.integers(0, n_items, size=len(users), dtype=np.int64)
+        for _ in range(RESAMPLE_ROUNDS):
+            seen = searchsorted_contains(seen_keys, users * n_items + expected)
+            if not seen.any():
+                break
+            expected[seen] = mirror.integers(
+                0, n_items, size=int(seen.sum()), dtype=np.int64
+            )
+        assert np.array_equal(candidates, expected)
+        assert rng.integers(2**62) == mirror.integers(2**62)
+
+
 class TestPredrawCandidates:
     def test_valid_entries_are_unseen(self):
         train = block_world()
-        seen_keys = train.interaction_keys()
+        seen_bits = train.seen_bitset()
         users = np.arange(train.n_users, dtype=np.int64)
         candidates, valid = predraw_candidates(
-            users, seen_keys, train.n_items, 16, make_rng(5)
+            users, seen_bits, train.n_items, 16, make_rng(5)
         )
         assert candidates.shape == (train.n_users, 16)
         assert valid.shape == candidates.shape
@@ -285,13 +379,13 @@ class TestPredrawCandidates:
 
     def test_deterministic_given_rng(self):
         train = block_world()
-        seen_keys = train.interaction_keys()
+        seen_bits = train.seen_bitset()
         users = np.arange(train.n_users, dtype=np.int64)
         first = predraw_candidates(
-            users, seen_keys, train.n_items, 8, make_rng(9)
+            users, seen_bits, train.n_items, 8, make_rng(9)
         )
         second = predraw_candidates(
-            users, seen_keys, train.n_items, 8, make_rng(9)
+            users, seen_bits, train.n_items, 8, make_rng(9)
         )
         assert np.array_equal(first[0], second[0])
         assert np.array_equal(first[1], second[1])

@@ -2,10 +2,48 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy import sparse
 
-from repro.core.interactions import Indexer, InteractionMatrix
+from repro.core.interactions import Indexer, InteractionMatrix, bitset_contains
 from repro.errors import DatasetError, UnknownUserError
+
+from tests.oracles import interaction_keys, searchsorted_contains
+
+
+@st.composite
+def read_matrices(draw):
+    """Dense boolean user x item read matrices with the membership edges:
+    any cell count (multiples of 8 or not), the last cell set, an empty
+    user row, and a user who has read all but one item."""
+    n_users = draw(st.integers(1, 9))
+    n_items = draw(st.integers(1, 11))
+    cells = draw(
+        st.lists(st.booleans(), min_size=n_users * n_items,
+                 max_size=n_users * n_items)
+    )
+    dense = np.array(cells, dtype=bool).reshape(n_users, n_items)
+    row = draw(st.integers(0, n_users - 1))
+    edge = draw(st.sampled_from(["none", "last_cell", "empty_row", "all_but_one"]))
+    if edge == "last_cell":
+        dense[-1, -1] = True
+    elif edge == "empty_row":
+        dense[row] = False
+    elif edge == "all_but_one":
+        dense[row] = True
+        dense[row, draw(st.integers(0, n_items - 1))] = False
+    return dense
+
+
+def matrix_of(dense: np.ndarray) -> InteractionMatrix:
+    """An InteractionMatrix over exactly ``dense``'s users and items
+    (empty rows and columns included)."""
+    n_users, n_items = dense.shape
+    return InteractionMatrix(
+        Indexer(f"u{u:02d}" for u in range(n_users)),
+        Indexer(range(n_items)),
+        sparse.csr_matrix(dense.astype(np.float64)),
+    )
 
 
 class TestIndexer:
@@ -106,13 +144,17 @@ class TestInteractionMatrix:
         rows, cols = matrix.positive_pairs()
         assert len(rows) == 2
 
-    def test_interaction_keys_sorted_and_complete(self):
+    def test_seen_bitset_marks_exactly_the_read_cells(self):
         matrix = InteractionMatrix.from_pairs(
             [("u", 3), ("u", 1), ("v", 2)]
         )
-        keys = matrix.interaction_keys()
-        assert sorted(keys.tolist()) == keys.tolist()
-        assert len(keys) == 3
+        bits = matrix.seen_bitset()
+        # 2 users x 3 items = 6 cells pack into one byte; items 1, 2, 3
+        # map to columns 0, 1, 2, so u reads cells 0 and 2, v reads cell 4.
+        assert bits.dtype == np.uint8
+        assert bits.tolist() == [0b00010101]
+        cells = np.arange(matrix.n_users * matrix.n_items, dtype=np.int64)
+        assert np.flatnonzero(bitset_contains(bits, cells)).tolist() == [0, 2, 4]
 
     def test_shared_indexers_align(self, tiny_merged):
         users = Indexer(tiny_merged.user_ids)
@@ -145,3 +187,33 @@ class TestInteractionMatrix:
         assert a_items.tolist() == [matrix.items.index_of(1)]
         c_items = sub.user_items(sub.users.index_of("c"))
         assert len(c_items) == 2
+
+
+_LAST_CELL = np.zeros((3, 5), dtype=bool)
+_LAST_CELL[-1, -1] = True
+_EMPTY_ROW = np.ones((3, 7), dtype=bool)
+_EMPTY_ROW[1] = False
+_ALL_BUT_ONE = np.eye(5, 9, dtype=bool)
+_ALL_BUT_ONE[2] = True
+_ALL_BUT_ONE[2, 4] = False
+
+
+class TestSeenBitset:
+    @settings(deadline=None, max_examples=200)
+    @given(read_matrices())
+    @example(_LAST_CELL)
+    @example(_EMPTY_ROW)
+    @example(_ALL_BUT_ONE)
+    @example(np.zeros((1, 1), dtype=bool))
+    def test_membership_equals_sorted_key_searchsorted(self, dense):
+        matrix = matrix_of(dense)
+        bits = matrix.seen_bitset()
+        n_cells = dense.size
+        assert len(bits) == -(-n_cells // 8)
+        cells = np.arange(n_cells, dtype=np.int64)
+        expected = searchsorted_contains(interaction_keys(matrix), cells)
+        assert np.array_equal(bitset_contains(bits, cells), expected)
+        assert np.array_equal(expected, dense.ravel())
+        # The padding bits past the last cell stay clear.
+        padding = np.arange(n_cells, 8 * len(bits), dtype=np.int64)
+        assert not bitset_contains(bits, padding).any()

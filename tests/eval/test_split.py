@@ -2,9 +2,28 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.datasets.merged import MergedDataset
+from repro.datasets.models import (
+    BOOK_GENRES_SCHEMA,
+    MERGED_BOOKS_SCHEMA,
+    READINGS_SCHEMA,
+)
 from repro.errors import EvaluationError
-from repro.eval.split import SplitConfig, _cut, split_readings
+from repro.eval.split import SplitConfig, _cut_sizes, split_readings
+from repro.tables import Table
+
+from tests.oracles import cut, split_readings_loop
+
+
+def _cut(ordered, test_fraction, val_fraction):
+    """One list cut by the production :func:`_cut_sizes`."""
+    n_train, n_val = _cut_sizes(
+        np.asarray([len(ordered)]), np.asarray([test_fraction]), val_fraction
+    )
+    held = int(n_train[0] + n_val[0])
+    return ordered[:int(n_train[0])], ordered[int(n_train[0]):held], ordered[held:]
 
 
 class TestSplitConfigValidation:
@@ -53,6 +72,15 @@ class TestCut:
         items = list(range(17))
         train, val, test = _cut(items, 0.2, 0.2)
         assert sorted(train + val + test) == items
+
+    @pytest.mark.parametrize("test_fraction", [0.0, 0.01, 0.2, 0.5, 0.99])
+    @pytest.mark.parametrize("val_fraction", [0.0, 0.01, 0.2, 0.5, 0.99])
+    def test_sizes_match_the_loop_cut(self, test_fraction, val_fraction):
+        n = np.arange(1, 120)
+        n_train, n_val = _cut_sizes(n, np.full(len(n), test_fraction), val_fraction)
+        for length, train, val in zip(n.tolist(), n_train, n_val):
+            expected = cut(list(range(length)), test_fraction, val_fraction)
+            assert (train, val) == (len(expected[0]), len(expected[1]))
 
 
 class TestSplitReadings:
@@ -134,3 +162,97 @@ class TestSplitReadings:
         users = np.asarray(sorted(tiny_split.test_items))
         sizes = tiny_split.train_sizes(users)
         assert (sizes >= 1).all()
+
+
+@st.composite
+def merged_datasets(draw):
+    """Small merged datasets: re-borrows, same-day reads, unread books,
+    users from both sources, one to a few dozen readings each."""
+    book_ids = sorted(draw(st.sets(st.integers(1, 10**6), min_size=1, max_size=9)))
+    n_users = draw(st.integers(1, 7))
+    sources = draw(
+        st.lists(st.sampled_from(["bct", "anobii"]), min_size=n_users,
+                 max_size=n_users)
+    )
+    user_ids = [f"{source}_{u}" for u, source in enumerate(sources)]
+    readings = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n_users - 1),
+                st.sampled_from(book_ids),
+                st.integers(0, 12),
+            ),
+            min_size=1,
+            max_size=80,
+        )
+    )
+    epoch = np.datetime64("2020-01-01")
+    readings_table = Table.from_columns(
+        {
+            "user_id": [user_ids[u] for u, _, _ in readings],
+            "book_id": [book for _, book, _ in readings],
+            "read_date": [epoch + np.timedelta64(day, "D") for _, _, day in readings],
+            "source": [sources[u] for u, _, _ in readings],
+        },
+        schema=READINGS_SCHEMA,
+    )
+    books = Table.from_columns(
+        {
+            "book_id": book_ids,
+            "author": ["a"] * len(book_ids),
+            "title": ["t"] * len(book_ids),
+            "plot": [""] * len(book_ids),
+            "keywords": [""] * len(book_ids),
+        },
+        schema=MERGED_BOOKS_SCHEMA,
+    )
+    genres = Table.from_columns(
+        {"book_id": [], "genre": [], "probability": []}, schema=BOOK_GENRES_SCHEMA
+    )
+    return MergedDataset(books=books, readings=readings_table, genres=genres)
+
+
+class TestSplitMatchesLoopOracle:
+    """The array split equals the per-user loop split exactly."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        merged_datasets(),
+        st.sampled_from(["time", "random"]),
+        st.sampled_from([0.01, 0.2, 0.5, 0.9]),
+        st.sampled_from([0.0, 0.2, 0.5, 0.9]),
+        st.integers(0, 2**16),
+    )
+    def test_generated_datasets(
+        self, merged, order, test_fraction, val_fraction, seed
+    ):
+        config = SplitConfig(
+            test_fraction=test_fraction, val_fraction=val_fraction,
+            order=order, seed=seed,
+        )
+        _assert_same_split(split_readings(merged, config),
+                           split_readings_loop(merged, config))
+
+    @pytest.mark.parametrize("order", ["time", "random"])
+    def test_tiny_world(self, tiny_merged, order):
+        config = SplitConfig(order=order, seed=7)
+        _assert_same_split(split_readings(tiny_merged, config),
+                           split_readings_loop(tiny_merged, config))
+
+
+def _assert_same_split(actual, expected):
+    assert actual.users == expected.users and actual.items == expected.items
+    for name in ("indptr", "indices", "data"):
+        got = getattr(actual.train.csr, name)
+        want = getattr(expected.train.csr, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+    assert actual.train.csr.shape == expected.train.csr.shape
+    for name in ("val_items", "test_items"):
+        got, want = getattr(actual, name), getattr(expected, name)
+        assert list(got) == list(want), name
+        for user in want:
+            assert got[user].dtype == want[user].dtype
+            assert np.array_equal(got[user], want[user]), (name, user)
+    assert actual.bct_user_indices.dtype == expected.bct_user_indices.dtype
+    assert np.array_equal(actual.bct_user_indices, expected.bct_user_indices)
